@@ -1,44 +1,35 @@
-//! Incremental ΔE_pol perturbation queries vs full list re-execution,
-//! entry-granular vs chunk-granular caching, and batched multi-query
-//! throughput.
+//! Incremental ΔE_pol perturbation queries vs full list re-execution.
 //!
 //! A mutation/perturbation screen asks: move `k` atoms, what is the new
 //! polarization energy? PR 5's list engine answers by re-running every
-//! Phase-A chunk; `core::delta` answers by re-running only the work
-//! whose operands read a moved atom — chunks under PR 9's protocol
-//! (DESIGN.md §15), individual list *entries* under the default
-//! entry-granular protocol (§16) — with a result that is bit-identical
-//! **by construction**. This bench measures what each level buys, and
-//! gates that it costs nothing in correctness:
+//! Phase-A chunk; `core::delta` answers by re-running only the list
+//! *entries* whose operands read a moved atom (DESIGN.md §15–16), with
+//! a result that is bit-identical **by construction**. This bench
+//! measures what that buys, and gates that it costs nothing in
+//! correctness:
 //!
 //! * k-sweep over `k ∈ {1, 4, 16, 64}` moved atoms per query, each
 //!   query reverted before the next (screening mode: every query scored
-//!   against the same base state). Three services per query: the
-//!   entry-granular engine, a chunk-granular engine
-//!   ([`Granularity::Chunk`] — the PR 9 baseline), and a persistent
-//!   [`ListEngine`] re-executing all chunks.
-//! * Batch sweep over `N ∈ {1, 16, 64, 256}` queries × `k ∈ {1, 4, 16}`
-//!   moves: [`DeltaEngine::apply_batch`] scoring N independent queries
-//!   against one cached base vs the sequential apply→revert loop.
-//! * **Blocking bitwise gates** (both modes, no margin — this is the
-//!   engine's contract, not a statistic): entry == chunk == full on
-//!   every k-sweep query; every batch query == its sequential
-//!   apply→revert twin.
-//! * **Blocking speedup gates** in full mode: entry beats full at
-//!   `k ≤ 16`, and entry beats the chunk-granular baseline ≥2× per
-//!   query at `k ≤ 4` (the point of PR 10). Quick mode only smokes the
-//!   machinery — single-core CI hosts time noisily at smoke sizes, so
-//!   its margins are generous; see EXPERIMENTS.md.
+//!   against the same base state). Two services per query: the
+//!   incremental engine and a persistent [`ListEngine`] re-executing all
+//!   chunks.
+//! * **Blocking gates** (both modes, no margin — this is the engine's
+//!   contract, not a statistic): incremental == full bitwise on every
+//!   query, every revert lands back on the base bits, and every
+//!   `k ≤ 16` sweep leaves cached chunks on the table.
+//! * **Blocking speedup gate**: incremental beats full at `k ≤ 16`.
+//!   Quick mode only smokes the machinery — single-core CI hosts time
+//!   noisily at smoke sizes, so its margin is generous; see
+//!   EXPERIMENTS.md.
 //!
 //! Emits `BENCH_delta.json` (to `$POLAROCT_OUT` if set, else
-//! `results/`) plus the usual TSV tables. `POLAROCT_QUICK=1` shrinks
-//! the molecule, query and batch counts so CI can run it as a blocking
-//! smoke step.
+//! `results/`) plus the usual TSV table. `POLAROCT_QUICK=1` shrinks the
+//! molecule and query counts so CI can run it as a blocking smoke step.
 
 #![forbid(unsafe_code)]
 
 use polaroct_bench::{fmt_time, quick_mode, Table};
-use polaroct_core::delta::{DeltaEngine, DeltaParams, Granularity, Perturbation};
+use polaroct_core::delta::{DeltaEngine, Perturbation};
 use polaroct_core::lists::ListEngine;
 use polaroct_core::ApproxParams;
 use polaroct_geom::Vec3;
@@ -48,29 +39,18 @@ use std::time::Instant;
 
 const KS: [usize; 4] = [1, 4, 16, 64];
 const SKIN: f64 = 0.8;
-/// Per-component move amplitude (Å): well inside `SKIN / 2`, so neither
-/// engine ever crosses the rebuild boundary (queries revert to base).
+/// Per-component move amplitude (Å): well inside `SKIN / 2`, so no
+/// query crosses the rebuild boundary (queries revert to base).
 const AMPLITUDE: f64 = 0.1;
 
 struct Row {
     k: usize,
     delta_wall: f64,
-    chunk_wall: f64,
     revert_wall: f64,
     full_wall: f64,
     redone_mean: f64,
     cached_mean: f64,
     total_chunks: usize,
-    entries_redone_mean: f64,
-    chunk_entries_redone_mean: f64,
-    total_entries: usize,
-}
-
-struct BatchRow {
-    n: usize,
-    k: usize,
-    batch_wall: f64,
-    seq_wall: f64,
     entries_redone_mean: f64,
     total_entries: usize,
 }
@@ -118,25 +98,12 @@ fn main() {
     let quick = quick_mode();
     let atoms = if quick { 120 } else { 800 };
     let queries = if quick { 4 } else { 16 };
-    let batch_ns: &[usize] = if quick { &[1, 8] } else { &[1, 16, 64, 256] };
-    let batch_ks: &[usize] = if quick { &[1, 4] } else { &[1, 4, 16] };
     let host_cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let approx = ApproxParams::default();
 
     eprintln!("[delta_scan] {atoms}-atom protein, {queries} queries per k, skin {SKIN} A");
     let mol = synth::protein("deltascan", atoms, 0xD51);
     let mut delta = DeltaEngine::new(&mol, &approx, SKIN);
-    let mut chunkd = DeltaEngine::with_params(
-        &mol,
-        &approx,
-        SKIN,
-        DeltaParams {
-            granularity: Granularity::Chunk,
-            ..Default::default()
-        },
-    );
-    assert_eq!(delta.effective_granularity(), Granularity::Entry);
-    assert_eq!(chunkd.effective_granularity(), Granularity::Chunk);
     let mut full = ListEngine::new(&mol, &approx, SKIN);
     // Warm the baseline at the base geometry (first evaluate pays the
     // accumulator allocations; keep it out of the timed loops).
@@ -146,20 +113,17 @@ fn main() {
         delta.raw().to_bits(),
         "engines disagree at the base geometry"
     );
-    assert_eq!(base_eval.raw.to_bits(), chunkd.raw().to_bits());
 
     let mut rows: Vec<Row> = Vec::new();
     let mut rng = 0xD51u64;
     for &k in &KS {
         let k = k.min(atoms);
         let mut delta_wall = 0.0f64;
-        let mut chunk_wall = 0.0f64;
         let mut revert_wall = 0.0f64;
         let mut full_wall = 0.0f64;
         let mut redone = 0u64;
         let mut cached = 0u64;
         let mut e_redone = 0u64;
-        let mut ce_redone = 0u64;
         let mut total_chunks = 0usize;
         let mut total_entries = 0usize;
         for q in 0..queries {
@@ -175,20 +139,13 @@ fn main() {
             total_chunks = eval.total_chunks;
             total_entries = eval.total_entries;
 
-            // Chunk-granular service of the same query (PR 9 baseline).
-            let t = Instant::now();
-            let ceval = chunkd.apply_perturbation(&p, None);
-            chunk_wall += t.elapsed().as_secs_f64();
-            ce_redone += ceval.entries_redone as u64;
-
             let t = Instant::now();
             let feval = full.evaluate(&frame);
             full_wall += t.elapsed().as_secs_f64();
             assert!(!feval.rebuilt, "baseline crossed the skin boundary");
 
-            // Blocking bitwise gates: the incremental answer IS the full
-            // answer, at either granularity, on every query, in both
-            // modes.
+            // Blocking bitwise gate: the incremental answer IS the full
+            // answer, on every query, in both modes.
             assert_eq!(
                 eval.raw.to_bits(),
                 feval.raw.to_bits(),
@@ -197,43 +154,26 @@ fn main() {
                 feval.raw
             );
             assert_eq!(eval.energy_kcal.to_bits(), feval.energy_kcal.to_bits());
-            assert_eq!(
-                ceval.raw.to_bits(),
-                feval.raw.to_bits(),
-                "k={k} query {q}: chunk-granular engine diverged"
-            );
-            assert_eq!(
-                eval.chunks_redone, ceval.chunks_redone,
-                "k={k} query {q}: chunk accounting must be granularity-invariant"
-            );
-            assert!(
-                eval.entries_redone <= ceval.entries_redone,
-                "k={k} query {q}: entry mode redid more entries than chunk mode"
-            );
 
             let t = Instant::now();
             assert!(delta.revert(None), "nothing to revert");
             revert_wall += t.elapsed().as_secs_f64();
-            assert!(chunkd.revert(None), "nothing to revert (chunk)");
             let beval = full.evaluate(&mol.positions);
             assert_eq!(
                 delta.raw().to_bits(),
                 beval.raw.to_bits(),
                 "k={k} query {q}: revert diverged from base"
             );
-            assert_eq!(chunkd.raw().to_bits(), beval.raw.to_bits());
         }
         eprintln!(
-            "[delta_scan] k={k}: entry {}/query (revert {}), chunk {}/query, full {}/query, \
-             redone {:.1}/{} chunks, {:.1} vs {:.1} of {} entries",
+            "[delta_scan] k={k}: delta {}/query (revert {}), full {}/query, \
+             redone {:.1}/{} chunks, {:.1}/{} entries",
             fmt_time(delta_wall / queries as f64),
             fmt_time(revert_wall / queries as f64),
-            fmt_time(chunk_wall / queries as f64),
             fmt_time(full_wall / queries as f64),
             redone as f64 / queries as f64,
             total_chunks,
             e_redone as f64 / queries as f64,
-            ce_redone as f64 / queries as f64,
             total_entries,
         );
         // Few moved atoms must leave cache hits on the table.
@@ -242,29 +182,23 @@ fn main() {
                 redone < queries as u64 * total_chunks as u64,
                 "k={k} redid every chunk of every query"
             );
-            assert!(
-                e_redone < ce_redone,
-                "k={k}: entry granularity redid no fewer entries ({e_redone} vs {ce_redone})"
-            );
         }
         rows.push(Row {
             k,
             delta_wall,
-            chunk_wall,
             revert_wall,
             full_wall,
             redone_mean: redone as f64 / queries as f64,
             cached_mean: cached as f64 / queries as f64,
             total_chunks,
             entries_redone_mean: e_redone as f64 / queries as f64,
-            chunk_entries_redone_mean: ce_redone as f64 / queries as f64,
             total_entries,
         });
     }
 
-    // Blocking speedup gates (quick mode only smokes the machinery —
+    // Blocking speedup gate (quick mode only smokes the machinery —
     // tiny sizes time noisily on shared single-core hosts, so the
-    // margins are generous there).
+    // margin is generous there).
     let margin = if quick { 2.5 } else { 1.0 };
     for r in rows.iter().filter(|r| r.k <= 16) {
         assert!(
@@ -275,113 +209,25 @@ fn main() {
             r.full_wall
         );
     }
-    // The point of the entry-granular cache: >=2x per query over the
-    // chunk-granular baseline at small k (full mode; quick only asserts
-    // it is not a slowdown beyond noise).
-    for r in rows.iter().filter(|r| r.k <= 4) {
-        if quick {
-            assert!(
-                r.delta_wall <= r.chunk_wall * 2.5,
-                "k={}: entry {:.6}s vs chunk {:.6}s (quick-margin 2.5)",
-                r.k,
-                r.delta_wall,
-                r.chunk_wall
-            );
-        } else {
-            assert!(
-                r.delta_wall * 2.0 <= r.chunk_wall,
-                "k={}: entry {:.6}s vs chunk {:.6}s — less than the 2x contract",
-                r.k,
-                r.delta_wall,
-                r.chunk_wall
-            );
-        }
-    }
 
-    // ---- Batch sweep: N independent queries against one cached base,
-    // batch overlay vs the sequential apply->revert loop.
-    let mut batch_rows: Vec<BatchRow> = Vec::new();
-    for &bk in batch_ks {
-        for &bn in batch_ns {
-            let qs: Vec<Perturbation> = (0..bn)
-                .map(|_| make_query(&mol, bk.min(atoms), &mut rng).0)
-                .collect();
-
-            let t = Instant::now();
-            let seq: Vec<_> = qs
-                .iter()
-                .map(|q| {
-                    let e = delta.apply_perturbation(q, None);
-                    assert!(delta.revert(None));
-                    e
-                })
-                .collect();
-            let seq_wall = t.elapsed().as_secs_f64();
-
-            let t = Instant::now();
-            let bat = delta.apply_batch(&qs, None);
-            let batch_wall = t.elapsed().as_secs_f64();
-
-            // Blocking per-query bitwise gate, both modes: the batch
-            // overlay answers with the sequential loop's exact bits.
-            let mut e_redone = 0u64;
-            let mut total_entries = 0usize;
-            for (qi, (s, b)) in seq.iter().zip(&bat).enumerate() {
-                assert_eq!(
-                    s.raw.to_bits(),
-                    b.raw.to_bits(),
-                    "N={bn} k={bk} query {qi}: batch diverged from sequential"
-                );
-                assert_eq!(s.energy_kcal.to_bits(), b.energy_kcal.to_bits());
-                assert_eq!(s.entries_redone, b.entries_redone);
-                e_redone += b.entries_redone as u64;
-                total_entries = b.total_entries;
-            }
-            assert_eq!(
-                delta.raw().to_bits(),
-                base_eval.raw.to_bits(),
-                "N={bn} k={bk}: batch mutated the base state"
-            );
-            eprintln!(
-                "[delta_scan] batch N={bn} k={bk}: batch {}/query, sequential {}/query, \
-                 {:.1}/{} entries redone",
-                fmt_time(batch_wall / bn as f64),
-                fmt_time(seq_wall / bn as f64),
-                e_redone as f64 / bn as f64,
-                total_entries,
-            );
-            batch_rows.push(BatchRow {
-                n: bn,
-                k: bk,
-                batch_wall,
-                seq_wall,
-                entries_redone_mean: e_redone as f64 / bn as f64,
-                total_entries,
-            });
-        }
-    }
-
-    // ---- TSV tables.
+    // ---- TSV table.
     let mut t = Table::new(
         "delta_scan",
         &[
-            "k", "queries", "delta_query_s", "chunk_query_s", "revert_query_s", "full_query_s",
-            "speedup", "entry_vs_chunk_speedup", "chunks_redone_mean", "chunks_cached_mean",
-            "total_chunks", "entries_redone_mean", "chunk_entries_redone_mean", "total_entries",
+            "k", "queries", "delta_query_s", "revert_query_s", "full_query_s", "speedup",
+            "chunks_redone_mean", "chunks_cached_mean", "total_chunks", "entries_redone_mean",
+            "total_entries",
         ],
     );
-    println!("k     entry/query  chunk/query  full/query  vs_full  vs_chunk  redone/total");
+    println!("k     delta/query  full/query  speedup  redone/total");
     for r in &rows {
         let speedup = r.full_wall / r.delta_wall;
-        let vs_chunk = r.chunk_wall / r.delta_wall;
         println!(
-            "{:<4}  {:>11}  {:>11}  {:>10}  {:>7.2}  {:>8.2}  {:>6.1}/{}",
+            "{:<4}  {:>11}  {:>10}  {:>7.2}  {:>6.1}/{}",
             r.k,
             fmt_time(r.delta_wall / queries as f64),
-            fmt_time(r.chunk_wall / queries as f64),
             fmt_time(r.full_wall / queries as f64),
             speedup,
-            vs_chunk,
             r.redone_mean,
             r.total_chunks,
         );
@@ -389,52 +235,17 @@ fn main() {
             r.k.to_string(),
             queries.to_string(),
             format!("{:.6e}", r.delta_wall / queries as f64),
-            format!("{:.6e}", r.chunk_wall / queries as f64),
             format!("{:.6e}", r.revert_wall / queries as f64),
             format!("{:.6e}", r.full_wall / queries as f64),
             format!("{:.4}", speedup),
-            format!("{:.4}", vs_chunk),
             format!("{:.1}", r.redone_mean),
             format!("{:.1}", r.cached_mean),
             r.total_chunks.to_string(),
             format!("{:.1}", r.entries_redone_mean),
-            format!("{:.1}", r.chunk_entries_redone_mean),
             r.total_entries.to_string(),
         ]);
     }
     t.emit();
-
-    let mut bt = Table::new(
-        "delta_batch",
-        &[
-            "batch_n", "k", "batch_query_s", "seq_query_s", "batch_speedup",
-            "entries_redone_mean", "total_entries",
-        ],
-    );
-    println!("N     k     batch/query  seq/query  speedup  entries/total");
-    for r in &batch_rows {
-        let speedup = r.seq_wall / r.batch_wall;
-        println!(
-            "{:<4}  {:<4}  {:>11}  {:>9}  {:>7.2}  {:>7.1}/{}",
-            r.n,
-            r.k,
-            fmt_time(r.batch_wall / r.n as f64),
-            fmt_time(r.seq_wall / r.n as f64),
-            speedup,
-            r.entries_redone_mean,
-            r.total_entries,
-        );
-        bt.push(vec![
-            r.n.to_string(),
-            r.k.to_string(),
-            format!("{:.6e}", r.batch_wall / r.n as f64),
-            format!("{:.6e}", r.seq_wall / r.n as f64),
-            format!("{:.4}", speedup),
-            format!("{:.1}", r.entries_redone_mean),
-            r.total_entries.to_string(),
-        ]);
-    }
-    bt.emit();
 
     // ---- BENCH_delta.json.
     let mut json = String::from("{\n");
@@ -447,46 +258,22 @@ fn main() {
     json.push_str("  \"ks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"k\": {}, \"delta_query_s\": {:.6e}, \"chunk_query_s\": {:.6e}, \
-             \"revert_query_s\": {:.6e}, \
+            "    {{\"k\": {}, \"delta_query_s\": {:.6e}, \"revert_query_s\": {:.6e}, \
              \"full_query_s\": {:.6e}, \"speedup_vs_full\": {:.4}, \
-             \"entry_vs_chunk_speedup\": {:.4}, \
              \"chunks_redone_mean\": {:.1}, \"chunks_cached_mean\": {:.1}, \
-             \"total_chunks\": {}, \"entries_redone_mean\": {:.1}, \
-             \"chunk_entries_redone_mean\": {:.1}, \"total_entries\": {}, \
+             \"total_chunks\": {}, \"entries_redone_mean\": {:.1}, \"total_entries\": {}, \
              \"bitwise_equal_to_full\": true}}{}\n",
             r.k,
             r.delta_wall / queries as f64,
-            r.chunk_wall / queries as f64,
             r.revert_wall / queries as f64,
             r.full_wall / queries as f64,
             r.full_wall / r.delta_wall,
-            r.chunk_wall / r.delta_wall,
             r.redone_mean,
             r.cached_mean,
             r.total_chunks,
             r.entries_redone_mean,
-            r.chunk_entries_redone_mean,
             r.total_entries,
             if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"batches\": [\n");
-    for (i, r) in batch_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch_n\": {}, \"k\": {}, \"batch_query_s\": {:.6e}, \
-             \"seq_query_s\": {:.6e}, \"batch_speedup\": {:.4}, \
-             \"entries_redone_mean\": {:.1}, \"total_entries\": {}, \
-             \"bitwise_equal_to_sequential\": true}}{}\n",
-            r.n,
-            r.k,
-            r.batch_wall / r.n as f64,
-            r.seq_wall / r.n as f64,
-            r.seq_wall / r.batch_wall,
-            r.entries_redone_mean,
-            r.total_entries,
-            if i + 1 == batch_rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -244,15 +244,10 @@ impl BornLists {
 
     /// Phase B: fold per-chunk outputs into the accumulators in emission
     /// order. Serial by design — this is what pins the floating-point
-    /// add order regardless of how Phase A was scheduled. Generic over
-    /// the per-chunk storage so callers can fold either owned cached
-    /// streams (`Vec<f64>`) or borrowed overlay slices (`&[f64]`) — the
-    /// batch engine folds each query over the shared base cache plus a
-    /// few per-query overlay chunks without copying the clean ones.
-    pub fn apply<S: AsRef<[f64]>>(&self, sys: &GbSystem, outputs: &[S], acc: &mut BornAccumulators) {
+    /// add order regardless of how Phase A was scheduled.
+    pub fn apply(&self, sys: &GbSystem, outputs: &[Vec<f64>], acc: &mut BornAccumulators) {
         debug_assert_eq!(outputs.len(), self.chunks.len());
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
-            let vals = vals.as_ref();
             let mut cur = 0usize;
             for e in &self.entries[chunk.clone()] {
                 if e.far {
@@ -500,13 +495,10 @@ impl EpolLists {
     /// pushes `opens` fresh frames, adds its value to the innermost one,
     /// then folds `closes` completed frames into their parents. The
     /// global frame ends up holding exactly the recursion's total.
-    /// Generic over the per-chunk storage for the same reason as
-    /// [`BornLists::apply`]: batch overlays fold borrowed slices.
-    pub fn apply<S: AsRef<[f64]>>(&self, outputs: &[S]) -> f64 {
+    pub fn apply(&self, outputs: &[Vec<f64>]) -> f64 {
         debug_assert_eq!(outputs.len(), self.chunks.len());
         let mut stack: Vec<f64> = vec![0.0];
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
-            let vals = vals.as_ref();
             debug_assert_eq!(vals.len(), chunk.len());
             for (e, &v) in self.entries[chunk.clone()].iter().zip(vals) {
                 stack.resize(stack.len() + e.opens as usize, 0.0);

@@ -1,9 +1,9 @@
 //! Differential harness for [`DeltaEngine::apply_batch`] (DESIGN.md
-//! §16): N independent queries scored against one immutable cached base
-//! must be **bit-identical**, query by query, to
+//! §16): N independent queries scored against one cached base must be
+//! **bit-identical**, query by query, to
 //!
-//! * a sequential `apply_perturbation` + `revert` loop over the same
-//!   engine (the semantics the batch overlay replaces), and
+//! * a sequential `apply_perturbation` + `revert` loop over a separate
+//!   engine (the semantics `apply_batch` promises), and
 //! * a fresh [`ListEngine`] prepared at the scaffold with each query's
 //!   charges and evaluated at each query's positions (the from-scratch
 //!   reference the whole delta layer is certified against),
@@ -16,7 +16,7 @@
 //! unit the entry-granular cache manages) must be visible to the
 //! harness unless a query actually dirties that entry.
 
-use polaroct_core::delta::{DeltaEngine, DeltaParams, Granularity, Perturbation};
+use polaroct_core::delta::{DeltaEngine, DeltaEval, Perturbation};
 use polaroct_core::lists::ListEngine;
 use polaroct_core::ApproxParams;
 use polaroct_geom::Vec3;
@@ -39,9 +39,9 @@ fn unit(state: &mut u64) -> f64 {
 }
 
 /// A batch of mixed move/charge queries around the engine's base state.
-/// Amplitudes stay inside 0.2·skin per component, so most queries are
-/// overlay-served; occasional larger draws exercise the rebuild
-/// fallback inside the batch.
+/// Amplitudes stay inside 0.2·skin per component, so most queries stay
+/// incremental; occasional larger draws exercise the rebuild fallback
+/// inside the batch.
 fn mixed_batch(
     mol: &Molecule,
     skin: f64,
@@ -152,6 +152,7 @@ proptest! {
             prop_assert_eq!(eng.raw().to_bits(), raw0);
             prop_assert_eq!(eng.born_digest(), digest0);
             prop_assert_eq!(eng.pending_perturbations(), 0);
+            prop_assert_eq!(eng.queries_batched, queries.len() as u64);
             for (a, b) in eng.positions().iter().zip(&mol.positions) {
                 prop_assert_eq!(a, b);
             }
@@ -168,37 +169,6 @@ proptest! {
                 fresh_reference(&mol, &approx, skin, q),
                 "query {} differs from its fresh reference", qi
             );
-        }
-    }
-
-    /// Chunk-granular engines serve the same batches to the same bits
-    /// (the granularity only changes the accounting).
-    #[test]
-    fn chunk_mode_batch_matches_entry_mode(
-        n in 60usize..120,
-        seed in 0u64..500,
-        n_queries in 1usize..5,
-        pert_seed in 0u64..500,
-    ) {
-        let approx = ApproxParams::default();
-        let skin = 0.8;
-        let mol = synth::protein("batchgran", n, seed);
-        let mut rng = pert_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
-        let queries = mixed_batch(&mol, skin, n_queries, 3, 1, &mut rng);
-
-        let mut entry = DeltaEngine::new(&mol, &approx, skin);
-        let mut chunk = DeltaEngine::with_params(
-            &mol,
-            &approx,
-            skin,
-            DeltaParams { granularity: Granularity::Chunk, ..Default::default() },
-        );
-        let be = entry.apply_batch(&queries, None);
-        let bc = chunk.apply_batch(&queries, None);
-        for (e, c) in be.iter().zip(&bc) {
-            prop_assert_eq!(e.raw.to_bits(), c.raw.to_bits());
-            prop_assert_eq!(e.chunks_redone, c.chunks_redone);
-            prop_assert!(e.entries_redone <= c.entries_redone);
         }
     }
 }
@@ -281,4 +251,70 @@ fn pooled_batch_is_clean_and_bit_identical() {
         assert_eq!(p.recovered_chunks, 0, "healthy pool must not recover");
     }
     assert_eq!(serial.born_digest(), pooled.born_digest());
+}
+
+/// The reference semantics: a sequential apply → revert loop.
+fn sequential(eng: &mut DeltaEngine, qs: &[Perturbation]) -> Vec<DeltaEval> {
+    qs.iter()
+        .map(|q| {
+            let e = eng.apply_perturbation(q, None);
+            assert!(eng.revert(None));
+            e
+        })
+        .collect()
+}
+
+#[test]
+fn boundary_crossing_query_falls_back_and_leaves_base_intact() {
+    let approx = ApproxParams::default();
+    let skin = 0.4;
+    let m = synth::protein("batch", 100, 53);
+    let mut eng = DeltaEngine::new(&m, &approx, skin);
+    let raw0 = eng.raw();
+    let crossing = Perturbation::default().move_atom(8, m.positions[8] + Vec3::new(1.5, 0.0, 0.0));
+    let small = Perturbation::default().move_atom(30, m.positions[30] + Vec3::new(0.05, 0.0, 0.0));
+    let qs = vec![small.clone(), crossing, small];
+    let seq = sequential(&mut eng, &qs);
+    let bat = eng.apply_batch(&qs, None);
+    assert!(bat[1].rebuilt, "the crossing query must rebuild");
+    for (s, b) in seq.iter().zip(&bat) {
+        assert_eq!(s.raw.to_bits(), b.raw.to_bits());
+        assert_eq!(s.rebuilt, b.rebuilt);
+    }
+    assert_eq!(eng.raw().to_bits(), raw0.to_bits());
+    assert_eq!(eng.pending_perturbations(), 0);
+}
+
+#[test]
+fn duplicate_atom_writes_resolve_last_wins() {
+    let approx = ApproxParams::default();
+    let m = synth::protein("batch", 90, 59);
+    let mut eng = DeltaEngine::new(&m, &approx, 1.0);
+    // One query moving the same atom twice and charging it twice: both
+    // resolve last-wins, and the batch restores the base values.
+    let q = Perturbation::default()
+        .move_atom(12, m.positions[12] + Vec3::new(0.3, 0.0, 0.0))
+        .move_atom(12, m.positions[12] + Vec3::new(0.0, 0.1, 0.0))
+        .set_charge(12, 2.0)
+        .set_charge(12, -1.0);
+    let qs = vec![q];
+    let seq = sequential(&mut eng, &qs);
+    let bat = eng.apply_batch(&qs, None);
+    assert_eq!(seq[0].raw.to_bits(), bat[0].raw.to_bits());
+    assert_eq!(seq[0].max_disp.to_bits(), bat[0].max_disp.to_bits());
+    assert_eq!(eng.positions()[12], m.positions[12], "base must be restored");
+    assert_eq!(eng.charges()[12], m.charges[12]);
+}
+
+#[test]
+fn empty_batch_and_empty_query_are_identities() {
+    let approx = ApproxParams::default();
+    let m = synth::protein("batch", 80, 61);
+    let mut eng = DeltaEngine::new(&m, &approx, 0.5);
+    let raw0 = eng.raw();
+    assert!(eng.apply_batch(&[], None).is_empty());
+    let bat = eng.apply_batch(&[Perturbation::default()], None);
+    assert_eq!(bat[0].raw.to_bits(), raw0.to_bits());
+    assert_eq!(bat[0].entries_redone, 0);
+    assert_eq!(bat[0].chunks_redone, 0);
 }

@@ -192,9 +192,9 @@ fn snapshot_delta_with(
 
     // Batch section: the pinned 4-query batch against the restored base
     // (every query's bits must equal a sequential apply+revert of the
-    // same query — the engine's contract — so these lines also pin the
-    // overlay path). `entries_redone` pins the entry-granular dirtiness
-    // protocol; the post-batch lines prove the base survived untouched.
+    // same query — the engine's contract). `entries_redone` pins the
+    // entry-granular dirtiness protocol; the post-batch lines prove the
+    // base survived untouched.
     let batch: Vec<Perturbation> = batch_script(n)
         .iter()
         .map(|(atom, d, charge)| {
@@ -311,9 +311,7 @@ mod tests {
     #[test]
     fn delta_snapshot_batch_section_matches_sequential_applies() {
         // The pinned batch lines must equal what a sequential
-        // apply → revert loop over the same queries records — the
-        // overlay path cannot pin different bits than the engine's
-        // sequential contract.
+        // apply → revert loop over the same queries records.
         let c = &cases()[0];
         let mol = (c.make)();
         let s = snapshot_delta(c.name, &mol);

@@ -89,7 +89,7 @@ fn delta_goldens_certify_incremental_service() {
 }
 
 /// The committed batch sections must certify that the pinned 4-query
-/// batch was served through the entry-granular overlay path: every
+/// batch was served incrementally at entry granularity: every
 /// query redid strictly fewer entries than the total, at least one, and
 /// the batch left the base state bit-identical.
 #[test]
