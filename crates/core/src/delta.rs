@@ -7,9 +7,10 @@
 //! moving k atoms should cost O(k · affected-lists), not a full
 //! re-execution.
 //!
-//! [`DeltaEngine`] upgrades a [`ListEngine`] with per-chunk output
-//! caches for both lists and an entry-granular dirtiness protocol
-//! (DESIGN.md §15–16):
+//! [`DeltaEngine`] keeps a [`ListEngine`] scaffold, the per-chunk
+//! Phase-A streams of one full pipeline run over both lists
+//! (`lists::run_lists`, also its rebuild path) and an entry-granular
+//! dirtiness protocol (DESIGN.md §15–16):
 //!
 //! * **Inverted indexes** ([`polaroct_sched::CoverageIndex`], built once
 //!   per scaffold): Morton atom → the Born *entries* whose near records
@@ -75,7 +76,7 @@
 use crate::born::{push_integrals_to_atoms, BornAccumulators};
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
-use crate::lists::ListEngine;
+use crate::lists::{run_units, ListEngine, Streams};
 use crate::params::ApproxParams;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
@@ -183,8 +184,7 @@ enum UndoRecord {
 pub struct DeltaEngine {
     base: ListEngine,
     /// Cached Phase-A outputs, one vector per chunk, for both lists.
-    born_outputs: Vec<Vec<f64>>,
-    epol_outputs: Vec<Vec<f64>>,
+    streams: Streams,
     /// Born entry id → owning chunk / offset of its span in that chunk's
     /// cached stream; E_pol entry id → owning chunk (its span is always
     /// one value at `entry - chunk.start`).
@@ -219,79 +219,16 @@ pub struct DeltaEngine {
     pub queries_batched: u64,
 }
 
-/// Execute `n` work units (chunks or dirty entries) through a pure
-/// kernel, optionally over a pool with one poisoned slot; a poisoned
-/// unit's panic is contained by `try_map` and the slot is re-executed
-/// serially by the same kernel (`recovered` counts them). Returns
-/// outputs in slot order.
-fn run_dirty_units<T, F>(
-    pool: Option<&WorkStealingPool>,
-    n: usize,
-    poison: Option<usize>,
-    f: F,
-    recovered: &mut u32,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match pool {
-        Some(p) => {
-            let (mut parts, _) = p.try_map(n, |k| {
-                if Some(k) == poison {
-                    // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-                    panic!("injected worker panic in delta work slot {k}");
-                }
-                f(k)
-            });
-            parts
-                .iter_mut()
-                .enumerate()
-                .map(|(k, slot)| {
-                    slot.take().unwrap_or_else(|| {
-                        *recovered += 1;
-                        f(k)
-                    })
-                })
-                .collect()
-        }
-        None => (0..n).map(&f).collect(),
-    }
-}
-
-impl ListEngine {
-    /// Upgrade this engine into the incremental perturbation engine
-    /// (`core::delta`): caches every Phase-A chunk output, builds the
-    /// dirtiness indexes, and serves [`DeltaEngine::apply_perturbation`]
-    /// / [`DeltaEngine::revert`] queries from then on.
-    pub fn into_delta(self) -> DeltaEngine {
-        DeltaEngine::from_engine(self)
-    }
-}
-
 impl DeltaEngine {
     /// Build a fresh engine at the molecule's geometry (counts as the
-    /// first rebuild, like [`ListEngine::new`]).
+    /// first rebuild, like [`ListEngine::new`]): one prepare, one list
+    /// build, and one pipeline run whose per-chunk streams become the
+    /// caches.
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> DeltaEngine {
-        ListEngine::new(mol, approx, skin).into_delta()
-    }
-
-    /// Adopt a prepared [`ListEngine`]: recover its current positions
-    /// from the Morton snapshot, then execute one full pass to populate
-    /// the chunk caches.
-    pub fn from_engine(base: ListEngine) -> DeltaEngine {
-        let n = base.sys.n_atoms();
-        let mut positions = vec![Vec3::ZERO; n];
-        let mut charges = vec![0.0f64; n];
-        for (mi, &oi) in base.sys.atoms.point_order.iter().enumerate() {
-            // PANIC-OK: point_order is a permutation of 0..n by construction.
-            positions[oi as usize] = base.sys.atoms.points[mi];
-            charges[oi as usize] = base.sys.charge[mi]; // PANIC-OK: same permutation.
-        }
+        let n = mol.len();
         let mut engine = DeltaEngine {
-            base,
-            born_outputs: Vec::new(),
-            epol_outputs: Vec::new(),
+            base: ListEngine::scaffold(mol, approx, skin),
+            streams: Streams::default(),
             born_entry_chunk: Vec::new(),
             born_entry_offset: Vec::new(),
             epol_entry_chunk: Vec::new(),
@@ -302,8 +239,8 @@ impl DeltaEngine {
             bins: ChargeBins::default(),
             raw: 0.0,
             energy_kcal: 0.0,
-            positions,
-            charges,
+            positions: mol.positions.clone(),
+            charges: mol.charges.clone(),
             disp: vec![0.0; n],
             inv_order: Vec::new(),
             undo: Vec::new(),
@@ -399,8 +336,9 @@ impl DeltaEngine {
             + self.epol_far_entry_nodes.memory_bytes()
     }
 
-    /// Refresh all Morton positions to `self.positions` and execute every
-    /// chunk of both lists from scratch (the rebuild / adopt path). Pure
+    /// Refresh all Morton positions to `self.positions` and run the list
+    /// pipeline over every chunk of both lists (the build / rebuild
+    /// path), keeping its per-chunk streams as the caches. Pure
     /// recomputation — produces exactly the state an incremental query
     /// sequence would have cached.
     fn full_execute(&mut self, pool: Option<&WorkStealingPool>) {
@@ -412,36 +350,21 @@ impl DeltaEngine {
         {
             *d = p.dist(*r);
         }
-        let nb = self.base.born_lists.n_chunks();
-        let base = &self.base;
-        let mut recovered = 0u32;
-        self.born_outputs = run_dirty_units(
-            pool,
-            nb,
-            None,
-            |c| base.born_lists.run_chunk(&base.sys, c),
-            &mut recovered,
-        );
-        let n = self.base.sys.n_atoms();
-        let mut acc = BornAccumulators::zeros(&self.base.sys);
-        self.base.born_lists.apply(&self.base.sys, &self.born_outputs, &mut acc);
-        let mut born = vec![0.0; n];
-        push_integrals_to_atoms(&self.base.sys, &acc, 0..n, self.base.approx.math, &mut born);
-        self.bins = ChargeBins::build(&self.base.sys, &born, self.base.approx.eps_epol);
+        let run = self.base.run_pipeline(pool, Some(&mut self.streams));
+        self.bins = run.bins;
+        self.raw = run.raw;
+        self.energy_kcal = epol_from_raw_sum(run.raw, self.base.approx.eps_solvent);
+        self.base.born = run.born;
+    }
 
-        let ne = self.base.epol_lists.n_chunks();
-        let base = &self.base;
-        let (bins, math) = (&self.bins, self.base.approx.math);
-        self.epol_outputs = run_dirty_units(
-            pool,
-            ne,
-            None,
-            |c| base.epol_lists.run_chunk(&base.sys, bins, &born, math, c),
-            &mut recovered,
-        );
-        self.raw = self.base.epol_lists.apply(&self.epol_outputs);
-        self.energy_kcal = epol_from_raw_sum(self.raw, self.base.approx.eps_solvent);
-        self.base.born = born;
+    /// Re-prepare the scaffold at `scaffold` with the current charges,
+    /// then re-execute everything at the current positions.
+    fn rebuild_at(&mut self, scaffold: &[Vec3], pool: Option<&WorkStealingPool>) {
+        self.base.work.charges.copy_from_slice(&self.charges);
+        self.base.rebuild(scaffold);
+        self.rebuild_caches();
+        self.full_execute(pool);
+        self.base.lists_rebuilt += 1;
     }
 
     /// Apply a perturbation and return the re-evaluated energy, bit-identical
@@ -541,12 +464,7 @@ impl DeltaEngine {
             // perturbed geometry — same fallback, same resulting state,
             // as ListEngine::evaluate past the boundary.
             let scaffold = self.base.reference.clone();
-            self.base.work.charges.copy_from_slice(&self.charges);
-            let positions = self.positions.clone();
-            self.base.rebuild(&positions);
-            self.rebuild_caches();
-            self.full_execute(pool);
-            self.base.lists_rebuilt += 1;
+            self.rebuild_at(&self.positions.clone(), pool);
             self.queries_rebuilt += 1;
             self.undo.push(UndoRecord::Rebuilt {
                 moves: old_moves,
@@ -615,7 +533,7 @@ impl DeltaEngine {
         let poison = poison_at(dirty.len(), phase::INTEGRALS);
         let base = &self.base;
         let dirty_ref = &dirty;
-        let fresh: Vec<Vec<f64>> = run_dirty_units(
+        let fresh: Vec<Vec<f64>> = run_units(
             pool,
             dirty.len(),
             poison,
@@ -627,7 +545,8 @@ impl DeltaEngine {
                 out
             },
             &mut recovered,
-        );
+        )
+        .collect();
         let (undo_born_spans, born_chunks_redone) = self.splice_born_entries(&dirty, fresh);
         let born_entries_redone = dirty.len();
 
@@ -636,7 +555,7 @@ impl DeltaEngine {
         // dirty — then the full push pass. Identical floats in identical
         // order to a fresh run.
         let mut acc = BornAccumulators::zeros(&self.base.sys);
-        self.base.born_lists.apply(&self.base.sys, &self.born_outputs, &mut acc);
+        self.base.born_lists.apply(&self.base.sys, &self.streams.born, &mut acc);
         let mut new_born = vec![0.0; n];
         push_integrals_to_atoms(&self.base.sys, &acc, 0..n, self.base.approx.math, &mut new_born);
         let born_changed: Vec<usize> = self
@@ -706,7 +625,7 @@ impl DeltaEngine {
                     })
                     .collect()
             }
-            Some(_) => run_dirty_units(
+            Some(_) => run_units(
                 pool,
                 dirty.len(),
                 poison,
@@ -723,13 +642,14 @@ impl DeltaEngine {
                     )
                 },
                 &mut recovered,
-            ),
+            )
+            .collect(),
         };
         let (undo_epol_spans, epol_chunks_redone) = self.splice_epol_entries(&dirty, &fresh);
         let epol_entries_redone = dirty.len();
 
         // ---- Phase B (E_pol): full sum-tree replay over all chunks.
-        let raw = self.base.epol_lists.apply(&self.epol_outputs);
+        let raw = self.base.epol_lists.apply(&self.streams.epol);
         let energy_kcal = epol_from_raw_sum(raw, self.base.approx.eps_solvent);
 
         let old_born = std::mem::replace(&mut self.base.born, new_born);
@@ -789,7 +709,7 @@ impl DeltaEngine {
                 last_chunk = c;
             }
             // PANIC-OK: the entry's span lies inside its chunk's stream by construction.
-            let dst = &mut self.born_outputs[c as usize][off..off + v.len()];
+            let dst = &mut self.streams.born[c as usize][off..off + v.len()];
             spans.push((c, off as u32, dst.to_vec()));
             dst.copy_from_slice(&v); // PANIC-OK: fresh output has the entry's fixed span length.
         }
@@ -811,7 +731,7 @@ impl DeltaEngine {
                 last_chunk = c;
             }
             // PANIC-OK: off < chunk len by construction.
-            let slot = &mut self.epol_outputs[c as usize][off];
+            let slot = &mut self.streams.epol[c as usize][off];
             spans.push((c, off as u32, vec![*slot]));
             *slot = v;
         }
@@ -867,12 +787,12 @@ impl DeltaEngine {
                 for (c, off, old) in born_spans {
                     let off = off as usize;
                     // PANIC-OK: span saved from this engine's own streams.
-                    self.born_outputs[c as usize][off..off + old.len()].copy_from_slice(&old);
+                    self.streams.born[c as usize][off..off + old.len()].copy_from_slice(&old);
                 }
                 for (c, off, old) in epol_spans {
                     let off = off as usize;
                     // PANIC-OK: span saved from this engine's own streams.
-                    self.epol_outputs[c as usize][off..off + old.len()].copy_from_slice(&old);
+                    self.streams.epol[c as usize][off..off + old.len()].copy_from_slice(&old);
                 }
                 self.base.born = born;
                 self.bins = bins;
@@ -889,11 +809,7 @@ impl DeltaEngine {
                 // Re-prepare the *old* scaffold (prepare is deterministic,
                 // so trees/lists/indexes come back bit-identical), then
                 // re-execute at the restored positions/charges.
-                self.base.work.charges.copy_from_slice(&self.charges);
-                self.base.rebuild(&scaffold);
-                self.rebuild_caches();
-                self.full_execute(pool);
-                self.base.lists_rebuilt += 1;
+                self.rebuild_at(&scaffold, pool);
             }
         }
         true
@@ -969,9 +885,10 @@ impl DeltaEngine {
     /// generation.
     pub fn memory_bytes(&self) -> usize {
         let outputs: usize = self
-            .born_outputs
+            .streams
+            .born
             .iter()
-            .chain(&self.epol_outputs)
+            .chain(&self.streams.epol)
             .map(|v| v.capacity() * 8)
             .sum();
         self.base.memory_bytes()
@@ -987,7 +904,7 @@ impl DeltaEngine {
     /// differential harness.
     #[doc(hidden)]
     pub fn debug_corrupt_cached_born_outputs(&mut self, delta: f64) {
-        for out in &mut self.born_outputs {
+        for out in &mut self.streams.born {
             for v in out.iter_mut() {
                 *v += delta;
             }
@@ -1025,7 +942,7 @@ impl DeltaEngine {
         let c = self.born_entry_chunk[entry] as usize;
         let off = self.born_entry_offset[entry] as usize;
         let len = crate::lists::BornLists::entry_out_len(&self.base.sys, &born.entries[entry]);
-        for v in &mut self.born_outputs[c][off..off + len] {
+        for v in &mut self.streams.born[c][off..off + len] {
             *v += delta;
         }
     }
@@ -1057,6 +974,24 @@ mod tests {
         let eval = fresh.evaluate(eng.positions());
         let digest = checksum(&fresh.system().to_original_atom_order(fresh.born()));
         (eval.raw, eval.energy_kcal, digest)
+    }
+
+    #[test]
+    fn construction_runs_the_pipeline_once() {
+        let approx = ApproxParams::default();
+        let m = mol(150, 3);
+        let eng = DeltaEngine::new(&m, &approx, 1.0);
+        let mut list = ListEngine::new(&m, &approx, 1.0);
+        let eval = list.evaluate(&m.positions);
+        assert_eq!(eng.raw().to_bits(), eval.raw.to_bits());
+        assert_eq!(eng.energy_kcal().to_bits(), eval.energy_kcal.to_bits());
+        assert_eq!(eng.born().len(), list.born().len());
+        for (a, b) in eng.born().iter().zip(list.born()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Construction is the one build: no rebuild, no reuse on top.
+        assert_eq!(eng.engine().lists_rebuilt, 1);
+        assert_eq!(eng.engine().lists_reused, 0);
     }
 
     #[test]

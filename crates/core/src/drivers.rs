@@ -18,7 +18,7 @@ use crate::born::{
 };
 use crate::epol::{approx_epol_leaf, approx_epol_leaf_clipped, ChargeBins};
 use crate::gb::epol_from_raw_sum;
-use crate::lists::{BornLists, EpolLists};
+use crate::lists::{run_lists, BornLists, EpolLists};
 use crate::naive::{born_radii_naive, epol_naive_raw};
 use crate::params::ApproxParams;
 use crate::system::GbSystem;
@@ -26,7 +26,7 @@ use crate::workdiv::WorkDivision;
 use polaroct_cluster::{
     calib::KernelCosts,
     comm::Recovery,
-    fault::{phase, FaultKind, FaultPlan, FtPolicy, FtReport, RecoverMode},
+    fault::{phase, FaultPlan, FtPolicy, FtReport, RecoverMode},
     machine::ClusterSpec,
     memory::MemoryModel,
     runner::{run_spmd_ft, RankContext, RankError},
@@ -37,7 +37,7 @@ use polaroct_molecule::Molecule;
 use polaroct_sched::{StealSimParams, StealSimulator, WorkStealingPool};
 use polaroct_surface::surface_quadrature;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Driver tuning knobs with constants calibrated against the paper's
 /// observations (documented per field).
@@ -326,13 +326,6 @@ pub struct RunReport {
     pub lists_rebuilt: u64,
 }
 
-impl RunReport {
-    /// Speedup of this run over `other` (`other.time / self.time`).
-    pub fn speedup_over(&self, other: &RunReport) -> f64 {
-        other.time / self.time
-    }
-}
-
 fn seconds(cfg: &DriverConfig, ops: &OpCounts, math: MathMode) -> f64 {
     cfg.costs.seconds(ops, math == MathMode::Approx)
 }
@@ -381,8 +374,8 @@ pub fn run_naive(
 /// Serial single-tree octree run (one core; the baseline the speedup
 /// plots divide by when assessing parallel efficiency).
 ///
-/// Runs on the interaction-list engine (`core::lists`): the traversal
-/// pass is timed as `phases.lists`, the flat kernel sweeps as
+/// Runs the list pipeline ([`crate::lists`]) without a pool: the
+/// traversal pass is timed as `phases.lists`, the flat kernel sweeps as
 /// `phases.integrals` / `phases.epol`. List execution replays the
 /// recursion's every floating-point add in order, so energies and radii
 /// are bit-identical to the historical recursive driver (the golden
@@ -392,78 +385,8 @@ pub fn run_serial(
     params: &ApproxParams,
     cfg: &DriverConfig,
 ) -> Result<RunReport, DriverError> {
-    validate_system(sys)?;
-    let wall = Instant::now();
-    let math = params.math;
-
-    // ---- List traversal pass for APPROX-INTEGRALS (q-leaf sweep order).
-    let t = Instant::now();
-    let born_lists = BornLists::build_single(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-
-    // ---- APPROX-INTEGRALS: flat near/far sweep.
-    let t = Instant::now();
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = born_lists.execute(sys, None, &mut acc);
-    let integrals = t.elapsed().as_secs_f64();
-
-    // ---- PUSH-INTEGRALS-TO-ATOMS.
-    let t = Instant::now();
-    let mut born = vec![0.0; sys.n_atoms()];
-    ops.add(&push_integrals_to_atoms(
-        sys,
-        &acc,
-        0..sys.n_atoms(),
-        math,
-        &mut born,
-    ));
-    let push = t.elapsed().as_secs_f64();
-
-    // ---- Charge binning.
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-
-    // ---- List traversal pass for APPROX-E_pol (atom-leaf sweep order).
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_single(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-
-    // ---- APPROX-E_pol: flat near/far sweep + sum-tree replay.
-    let t = Instant::now();
-    let (raw, eops) = epol_lists.execute(sys, &bins, &born, math, None);
-    ops.add(&eops);
-    let epol = t.elapsed().as_secs_f64();
-
-    let time = seconds(cfg, &ops, math);
-    Ok(RunReport {
-        name: "OCT_serial".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
-        time,
-        compute: time,
-        comm: 0.0,
-        wait: 0.0,
-        ops,
-        memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
-            + born_lists.memory_bytes()
-            + epol_lists.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: 1,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            build: 0.0,
-            integrals,
-            push,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-        },
-        outcome: RunOutcome::Completed,
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 1,
+    run_list_driver("OCT_serial", sys, params, false, 1, None, None, |ops| {
+        seconds(cfg, ops, params.math)
     })
 }
 
@@ -477,38 +400,6 @@ pub fn run_oct_cilk(
     threads: usize,
 ) -> Result<RunReport, DriverError> {
     assert!(threads >= 1);
-    validate_system(sys)?;
-    let wall = Instant::now();
-
-    // Dual-tree interaction lists ([6]'s traversal, flattened): far
-    // entries may pair *internal* nodes of both trees. Execution is
-    // bit-identical to `born_radii_dual` / `epol_dual_raw`.
-    let t = Instant::now();
-    let born_lists = BornLists::build_dual(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = born_lists.execute(sys, None, &mut acc);
-    let mut born = vec![0.0; sys.n_atoms()];
-    ops.add(&push_integrals_to_atoms(
-        sys,
-        &acc,
-        0..sys.n_atoms(),
-        params.math,
-        &mut born,
-    ));
-    let integrals = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_dual(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let (raw, eops) = epol_lists.execute(sys, &bins, &born, params.math, None);
-    let epol = t.elapsed().as_secs_f64();
-    ops.add(&eops);
-
     // §V.A: cilk++ has no thread-affinity manager, so the working set is
     // not partitioned per core — each thread effectively streams the whole
     // replica. Model that as the one-core working-set slowdown.
@@ -522,39 +413,73 @@ pub fn run_oct_cilk(
     let slowdown = MemoryModel::new(sys.memory_bytes())
         .slowdown(&no_affinity)
         .powi(2);
-    let t1 = seconds(cfg, &ops, params.math) * cfg.cilk_efficiency * slowdown;
     let stats = sys.atoms.stats();
-    let time = fork_join_makespan(
-        t1,
-        stats.leaves,
-        stats.max_depth as u32,
-        threads,
-        cfg.steal_cost,
-    );
+    // Dual-tree interaction lists ([6]'s traversal, flattened): far
+    // entries may pair *internal* nodes of both trees. Execution is
+    // bit-identical to `born_radii_dual` / `epol_dual_raw`.
+    run_list_driver("OCT_CILK", sys, params, true, threads, None, None, |ops| {
+        let t1 = seconds(cfg, ops, params.math) * cfg.cilk_efficiency * slowdown;
+        fork_join_makespan(t1, stats.leaves, stats.max_depth as u32, threads, cfg.steal_cost)
+    })
+}
+
+/// The list drivers' shared body: validate, build the single- or
+/// dual-tree lists (timed as `phases.lists`), run the pipeline
+/// ([`crate::lists::run_lists`]) and fill the report. `model` turns the
+/// run's op counts into the modeled seconds of [`RunReport::time`];
+/// injected straggler delay rides on top.
+#[allow(clippy::too_many_arguments)]
+fn run_list_driver(
+    name: &str,
+    sys: &GbSystem,
+    params: &ApproxParams,
+    dual: bool,
+    cores: usize,
+    pool: Option<&WorkStealingPool>,
+    plan: Option<&FaultPlan>,
+    model: impl FnOnce(&OpCounts) -> f64,
+) -> Result<RunReport, DriverError> {
+    validate_system(sys)?;
+    let wall = Instant::now();
+    let t = Instant::now();
+    // No bins exist before the Born pass; the pipeline counts far bin
+    // pairs against the bins it executes with.
+    let no_bins = ChargeBins::default();
+    let (born_lists, epol_lists) = if dual {
+        (
+            BornLists::build_dual(sys, params.eps_born),
+            EpolLists::build_dual(sys, &no_bins, params.eps_epol),
+        )
+    } else {
+        (
+            BornLists::build_single(sys, params.eps_born),
+            EpolLists::build_single(sys, &no_bins, params.eps_epol),
+        )
+    };
+    let lists = t.elapsed().as_secs_f64();
+    let run = run_lists(sys, &born_lists, &epol_lists, params, pool, plan, None)?;
+    let time = model(&run.ops) + run.delay_s;
     Ok(RunReport {
-        name: "OCT_CILK".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
+        name: name.into(),
+        energy_kcal: epol_from_raw_sum(run.raw, params.eps_solvent),
+        born_radii: sys.to_original_atom_order(&run.born),
         time,
         compute: time,
         comm: 0.0,
         wait: 0.0,
-        ops,
+        ops: run.ops,
         memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
+            + run.bins.memory_bytes()
             + born_lists.memory_bytes()
             + epol_lists.memory_bytes(),
         memory_arena_bytes: sys.arena_bytes(),
-        cores: threads,
+        cores,
         wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            integrals,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-            ..Default::default()
+        phases: PhaseTimes { lists, ..run.phases },
+        outcome: match run.recovered {
+            0 => RunOutcome::Completed,
+            n_retries => RunOutcome::Recovered { n_retries },
         },
-        outcome: RunOutcome::Completed,
         ft: FtReport::default(),
         lists_reused: 0,
         lists_rebuilt: 1,
@@ -573,27 +498,11 @@ pub fn fork_join_makespan(t1: f64, n_tasks: usize, depth: u32, p: usize, steal_c
     t1 / p as f64 + span + steal_cost * p as f64 * (depth as f64 + 1.0)
 }
 
-/// Leaf blocks per parallel phase of [`run_oct_threads`]. Fixed — NOT a
-/// function of the worker count — so the block partition, and with it
-/// every floating-point reduction order, is identical for every `threads`
-/// value (see the determinism note on the driver).
-const THREAD_BLOCKS: usize = 64;
-
-/// Shared-memory single-tree run on *real* OS threads: builds the
-/// `core::lists` interaction lists once, then fans their cost-balanced
-/// chunks over [`WorkStealingPool`] — the same SoA leaf kernels as
-/// [`run_serial`], minus any traversal on the hot path.
-///
-/// **Determinism.** List entries are grouped into at most
-/// [`crate::lists::LIST_CHUNKS`] chunks balanced by per-entry cost
-/// (`len_a · len_q` near, O(1) far) via
-/// [`polaroct_sched::partition_by_cost`] — a fixed partition independent
-/// of `threads`. Each chunk task computes only *pure per-entry outputs*
-/// (Phase A); the serial apply pass (Phase B) then folds them in
-/// emission order, replaying the recursion's exact floating-point add
-/// sequence. Energies are therefore bit-identical across thread counts
-/// **and** bit-identical to [`run_serial`] — not merely within
-/// reduction roundoff, as the pre-list block-merge driver was.
+/// Shared-memory single-tree run on *real* OS threads: the list
+/// pipeline of [`run_serial`] with its Phase-A chunks and push blocks
+/// fanned over a [`WorkStealingPool`]. The chunk partition is fixed and
+/// the folds are serial, so energies and radii are bit-identical across
+/// thread counts and to [`run_serial`] (DESIGN.md §11.4).
 ///
 /// `RunReport::time` still carries the fork-join *model* prediction (for
 /// modeled-vs-measured comparisons); the measured host times live in
@@ -607,48 +516,12 @@ pub fn run_oct_threads(
     run_oct_threads_ft(sys, params, cfg, threads, &FaultPlan::none())
 }
 
-/// Fire a rank-0 execution fault at a threads-driver phase start.
-/// Returns the poisoned block id for a `PanicWorker` fault (the pool
-/// contains the panic and the driver re-executes the block); `Kill` and
-/// `PanicRank` fail the whole run — a single process has no peer to
-/// recover on.
-fn fire_threads_fault(
-    plan: &FaultPlan,
-    ph: u32,
-    n_blocks: usize,
-    delay_s: &mut f64,
-) -> Result<Option<usize>, DriverError> {
-    match plan.fire_exec(0, ph) {
-        // KillMidSend is a wire-layer fault: there is no send in the
-        // single-process driver, so it is a no-op here.
-        None
-        | Some(FaultKind::DropPayload)
-        | Some(FaultKind::CorruptPayload)
-        | Some(FaultKind::KillMidSend) => Ok(None),
-        Some(FaultKind::Delay { virtual_s, real_ms }) => {
-            *delay_s += virtual_s;
-            std::thread::sleep(Duration::from_millis(real_ms));
-            Ok(None)
-        }
-        Some(FaultKind::PanicWorker) => Ok(Some(plan.seed() as usize % n_blocks.max(1))),
-        Some(FaultKind::Kill) => Err(DriverError::Failed {
-            cause: format!(
-                "rank killed by fault at phase {ph}; a single-process run has no peer to recover on"
-            ),
-        }),
-        Some(FaultKind::PanicRank) => Err(DriverError::Failed {
-            cause: format!("rank panicked by fault at phase {ph}"),
-        }),
-    }
-}
-
 /// [`run_oct_threads`] with fault injection (entries for rank 0 fire at
-/// phase starts). A `PanicWorker` fault poisons one list chunk — chosen
-/// from the plan seed — whose task panics inside the pool; the pool
-/// contains it ([`WorkStealingPool::try_map`]), and the driver
-/// re-executes the lost chunk *serially, before the apply pass*, so the
-/// folded energy stays bit-identical to the fault-free run
-/// ([`RunOutcome::Recovered`]).
+/// the integrals, push and E_pol stage starts). A `PanicWorker` fault
+/// poisons one Phase-A unit, chosen from the plan seed; the pipeline
+/// re-executes it serially before the fold, so the energy stays
+/// bit-identical to the fault-free run ([`RunOutcome::Recovered`]).
+/// `Kill` and `PanicRank` fail the run.
 pub fn run_oct_threads_ft(
     sys: &GbSystem,
     params: &ApproxParams,
@@ -657,172 +530,16 @@ pub fn run_oct_threads_ft(
     plan: &FaultPlan,
 ) -> Result<RunReport, DriverError> {
     assert!(threads >= 1);
-    validate_system(sys)?;
+    let pool = WorkStealingPool::new(threads);
     // Clone resets the one-shot fired flags, so one plan value can drive
     // many runs identically.
     let plan = plan.clone();
-    let wall = Instant::now();
-    let math = params.math;
-    let pool = WorkStealingPool::new(threads);
-    let mut recovered_blocks = 0u32;
-    let mut delay_s = 0.0;
-
-    // ---- List traversal pass for APPROX-INTEGRALS.
-    let t = Instant::now();
-    let born_lists = BornLists::build_single(sys, params.eps_born);
-    let mut lists_t = t.elapsed().as_secs_f64();
-
-    // ---- APPROX-INTEGRALS: cost-balanced list chunks fanned over the
-    // pool (Phase A: pure per-entry outputs, no shared accumulators).
-    let t = Instant::now();
-    let poison = fire_threads_fault(&plan, phase::INTEGRALS, born_lists.n_chunks(), &mut delay_s)?;
-    let (mut born_parts, _) = pool.try_map(born_lists.n_chunks(), |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in integrals chunk {c}");
-        }
-        born_lists.run_chunk(sys, c)
-    });
-    // A panicked chunk's slot is `None` and is re-executed inline by the
-    // same pure function, so the apply pass below cannot observe any
-    // difference from the fault-free run.
-    let mut born_outputs: Vec<Vec<f64>> = Vec::with_capacity(born_parts.len());
-    for (c, slot) in born_parts.iter_mut().enumerate() {
-        born_outputs.push(match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                born_lists.run_chunk(sys, c)
-            }
-        });
-    }
-    // Phase B: serial fold in emission order — the determinism anchor.
-    let mut acc = BornAccumulators::zeros(sys);
-    let mut ops = OpCounts::default();
-    born_lists.apply(sys, &born_outputs, &mut acc);
-    ops.add(&born_lists.ops);
-    let integrals = t.elapsed().as_secs_f64();
-
-    // ---- PUSH-INTEGRALS-TO-ATOMS: disjoint atom chunks. Radii are
-    // written independently per atom, so this phase is order-free; the
-    // fixed chunking just bounds task-creation overhead.
-    let t = Instant::now();
-    let n = sys.n_atoms();
-    let push_blocks = THREAD_BLOCKS.min(n.max(1));
-    let poison = fire_threads_fault(&plan, phase::PUSH, push_blocks, &mut delay_s)?;
-    let push_block = |c: usize| {
-        let lo = c * n / push_blocks;
-        let hi = (c + 1) * n / push_blocks;
-        // The push API writes through a full-length slice; each task
-        // fills a scratch one and hands back only its segment. The
-        // O(n) zeroing per task is noise next to the kernel phases.
-        let mut full = vec![0.0; n];
-        let ops = push_integrals_to_atoms(sys, &acc, lo..hi, math, &mut full);
-        (lo..hi, full[lo..hi].to_vec(), ops)
-    };
-    let (mut push_parts, _) = pool.try_map(push_blocks, |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in push block {c}");
-        }
-        push_block(c)
-    });
-    let mut born = vec![0.0; n];
-    for (c, slot) in push_parts.iter_mut().enumerate() {
-        let (range, seg, po) = match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                push_block(c)
-            }
-        };
-        // PANIC-OK: each block segment is rebuilt at exactly range.len() elements before install.
-        born[range].copy_from_slice(&seg);
-        ops.add(&po);
-    }
-    let push = t.elapsed().as_secs_f64();
-
-    // ---- Charge binning: serial (O(M·M_ε), negligible).
-    let t = Instant::now();
-    let bins = ChargeBins::build(sys, &born, params.eps_epol);
-    let bins_t = t.elapsed().as_secs_f64();
-
-    // ---- List traversal pass for APPROX-E_pol.
-    let t = Instant::now();
-    let epol_lists = EpolLists::build_single(sys, &bins, params.eps_epol);
-    lists_t += t.elapsed().as_secs_f64();
-
-    // ---- APPROX-E_pol: list chunks fanned over the pool.
-    let t = Instant::now();
-    let poison = fire_threads_fault(&plan, phase::EPOL, epol_lists.n_chunks(), &mut delay_s)?;
-    let (mut epol_parts, _) = pool.try_map(epol_lists.n_chunks(), |c| {
-        if Some(c) == poison {
-            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
-            panic!("injected worker panic in epol chunk {c}");
-        }
-        epol_lists.run_chunk(sys, &bins, &born, math, c)
-    });
-    let mut epol_outputs: Vec<Vec<f64>> = Vec::with_capacity(epol_parts.len());
-    for (c, slot) in epol_parts.iter_mut().enumerate() {
-        epol_outputs.push(match slot.take() {
-            Some(v) => v,
-            None => {
-                recovered_blocks += 1;
-                epol_lists.run_chunk(sys, &bins, &born, math, c)
-            }
-        });
-    }
-    // Phase B: the sum-tree replay — serial, in emission order.
-    let raw = epol_lists.apply(&epol_outputs);
-    ops.add(&epol_lists.ops);
-    let epol = t.elapsed().as_secs_f64();
-
-    // Modeled fork-join makespan over the same work, for side-by-side
-    // modeled-vs-measured reporting; injected straggler time rides on top.
-    let t1 = seconds(cfg, &ops, math);
     let stats = sys.atoms.stats();
-    let time = fork_join_makespan(
-        t1,
-        stats.leaves,
-        stats.max_depth as u32,
-        threads,
-        cfg.steal_cost,
-    ) + delay_s;
-
-    Ok(RunReport {
-        name: "OCT_THREADS".into(),
-        energy_kcal: epol_from_raw_sum(raw, params.eps_solvent),
-        born_radii: sys.to_original_atom_order(&born),
-        time,
-        compute: time,
-        comm: 0.0,
-        wait: 0.0,
-        ops,
-        memory_per_process: sys.memory_bytes()
-            + bins.memory_bytes()
-            + born_lists.memory_bytes()
-            + epol_lists.memory_bytes(),
-        memory_arena_bytes: sys.arena_bytes(),
-        cores: threads,
-        wall_seconds: wall.elapsed().as_secs_f64(),
-        phases: PhaseTimes {
-            build: 0.0,
-            integrals,
-            push,
-            bins: bins_t,
-            epol,
-            lists: lists_t,
-        },
-        outcome: if recovered_blocks > 0 {
-            RunOutcome::Recovered {
-                n_retries: recovered_blocks,
-            }
-        } else {
-            RunOutcome::Completed
-        },
-        ft: FtReport::default(),
-        lists_reused: 0,
-        lists_rebuilt: 1,
+    // Modeled fork-join makespan over the same work, for side-by-side
+    // modeled-vs-measured reporting.
+    run_list_driver("OCT_THREADS", sys, params, false, threads, Some(&pool), Some(&plan), |ops| {
+        let t1 = seconds(cfg, ops, params.math);
+        fork_join_makespan(t1, stats.leaves, stats.max_depth as u32, threads, cfg.steal_cost)
     })
 }
 

@@ -26,11 +26,13 @@
 //!      driven by each entry's `opens`/`closes` counters that replays
 //!      the recursion's exact sum-tree association.
 //!
-//! Because Phase A is pure and Phase B replays the serial recursion's
-//! every floating-point add in order, list execution is **bit-identical
-//! to the recursive traversal at any thread count** (see DESIGN.md §11
-//! for the full argument, and `tests/lists_match_recursion.rs` for the
-//! proptest).
+//! `run_lists` runs the whole stage sequence (Born lists → push → bins
+//! → E_pol lists) for every list caller: `run_serial`, `run_oct_cilk`,
+//! `run_oct_threads_ft`, [`ListEngine`] and `DeltaEngine`. Because
+//! Phase A is pure and Phase B replays the serial recursion's every
+//! floating-point add in order, list execution is **bit-identical to the
+//! recursive traversal at any thread count** (DESIGN.md §11.4, and
+//! `tests/lists_match_recursion.rs` for the proptest).
 //!
 //! On top, [`ListEngine`] adds Verlet-skin reuse for MD: trees are built
 //! with node radii inflated by a `skin` margin
@@ -41,11 +43,13 @@
 //! rebuilt only when the tracked max displacement crosses the boundary.
 
 use crate::born::{push_integrals_to_atoms, BornAccumulators};
+use crate::drivers::{DriverError, PhaseTimes};
 use crate::epol::ChargeBins;
 use crate::gb::epol_from_raw_sum;
 use crate::params::ApproxParams;
 use crate::soa::StillScratch;
 use crate::system::GbSystem;
+use polaroct_cluster::fault::{phase, FaultKind, FaultPlan};
 use polaroct_cluster::simtime::OpCounts;
 use polaroct_geom::fastmath::MathMode;
 use polaroct_geom::Vec3;
@@ -53,10 +57,11 @@ use polaroct_molecule::Molecule;
 use polaroct_octree::NodeId;
 use polaroct_sched::{partition_by_cost, WorkStealingPool};
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 /// Chunks per list for cost-balanced parallel execution. Fixed — not a
-/// function of the worker count — mirroring `drivers::THREAD_BLOCKS`, so
-/// the partition is identical at every pool width. (With the two-phase
+/// function of the worker count — like `PUSH_BLOCKS`, so the partition
+/// is identical at every pool width. (With the two-phase
 /// executor the chunking cannot affect energies at all; the fixed count
 /// keeps scheduling behavior reproducible too.)
 pub const LIST_CHUNKS: usize = 64;
@@ -242,12 +247,20 @@ impl BornLists {
         out
     }
 
-    /// Phase B: fold per-chunk outputs into the accumulators in emission
-    /// order. Serial by design — this is what pins the floating-point
-    /// add order regardless of how Phase A was scheduled.
-    pub fn apply(&self, sys: &GbSystem, outputs: &[Vec<f64>], acc: &mut BornAccumulators) {
-        debug_assert_eq!(outputs.len(), self.chunks.len());
+    /// Phase B: fold per-chunk outputs, given in chunk order, into the
+    /// accumulators in emission order. Serial by design — this is what
+    /// pins the floating-point add order regardless of how Phase A was
+    /// scheduled. Outputs may be produced lazily, one chunk at a time.
+    pub fn apply<V: AsRef<[f64]>>(
+        &self,
+        sys: &GbSystem,
+        outputs: impl IntoIterator<Item = V>,
+        acc: &mut BornAccumulators,
+    ) {
+        let mut folded = 0;
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
+            let vals = vals.as_ref();
+            folded += 1;
             let mut cur = 0usize;
             for e in &self.entries[chunk.clone()] {
                 if e.far {
@@ -262,6 +275,7 @@ impl BornLists {
             }
             debug_assert_eq!(cur, vals.len());
         }
+        debug_assert_eq!(folded, self.chunks.len());
     }
 
     /// Full execution: Phase A over the pool (or serially when `None`),
@@ -272,11 +286,8 @@ impl BornLists {
         pool: Option<&WorkStealingPool>,
         acc: &mut BornAccumulators,
     ) -> OpCounts {
-        let outputs: Vec<Vec<f64>> = match pool {
-            Some(p) => p.map(self.n_chunks(), |c| self.run_chunk(sys, c)),
-            None => (0..self.n_chunks()).map(|c| self.run_chunk(sys, c)).collect(),
-        };
-        self.apply(sys, &outputs, acc);
+        let run = |c| self.run_chunk(sys, c);
+        self.apply(sys, run_units(pool, self.n_chunks(), None, run, &mut 0), acc);
         self.ops
     }
 }
@@ -381,8 +392,9 @@ impl EpolLists {
     /// Lists for the single-tree traversal (`epol.rs::epol_recurse` swept
     /// over every atoms leaf in leaf-id order, with the driver's
     /// `raw += leaf` fold as the outermost frame). `bins` is only
-    /// consulted to count far-field bin pairs for the op report; the
-    /// traversal itself is pure geometry.
+    /// consulted to count far-field bin pairs for `ops` (execution
+    /// recounts them against the bins it runs with); the traversal
+    /// itself is pure geometry.
     pub fn build_single(sys: &GbSystem, bins: &ChargeBins, eps_epol: f64) -> EpolLists {
         let mac = 1.0 + 2.0 / eps_epol;
         let mut entries = Vec::new();
@@ -490,15 +502,18 @@ impl EpolLists {
         out
     }
 
-    /// Phase B: replay the recursion's sum tree. The stack starts with
-    /// one global frame (the drivers' `raw += leaf` fold); each entry
-    /// pushes `opens` fresh frames, adds its value to the innermost one,
-    /// then folds `closes` completed frames into their parents. The
+    /// Phase B: replay the recursion's sum tree over per-chunk outputs
+    /// given in chunk order (possibly produced lazily). The stack starts
+    /// with one global frame (the drivers' `raw += leaf` fold); each
+    /// entry pushes `opens` fresh frames, adds its value to the innermost
+    /// one, then folds `closes` completed frames into their parents. The
     /// global frame ends up holding exactly the recursion's total.
-    pub fn apply(&self, outputs: &[Vec<f64>]) -> f64 {
-        debug_assert_eq!(outputs.len(), self.chunks.len());
+    pub fn apply<V: AsRef<[f64]>>(&self, outputs: impl IntoIterator<Item = V>) -> f64 {
         let mut stack: Vec<f64> = vec![0.0];
+        let mut folded = 0;
         for (chunk, vals) in self.chunks.iter().zip(outputs) {
+            let vals = vals.as_ref();
+            folded += 1;
             debug_assert_eq!(vals.len(), chunk.len());
             for (e, &v) in self.entries[chunk.clone()].iter().zip(vals) {
                 stack.resize(stack.len() + e.opens as usize, 0.0);
@@ -514,6 +529,7 @@ impl EpolLists {
                 }
             }
         }
+        debug_assert_eq!(folded, self.chunks.len());
         stack[0]
     }
 
@@ -527,13 +543,23 @@ impl EpolLists {
         math: MathMode,
         pool: Option<&WorkStealingPool>,
     ) -> (f64, OpCounts) {
-        let outputs: Vec<Vec<f64>> = match pool {
-            Some(p) => p.map(self.n_chunks(), |c| self.run_chunk(sys, bins, born, math, c)),
-            None => (0..self.n_chunks())
-                .map(|c| self.run_chunk(sys, bins, born, math, c))
-                .collect(),
-        };
-        (self.apply(&outputs), self.ops)
+        let run = |c| self.run_chunk(sys, bins, born, math, c);
+        let raw = self.apply(run_units(pool, self.n_chunks(), None, run, &mut 0));
+        (raw, self.exec_ops(bins))
+    }
+
+    /// Op counts of one execution with `bins`: the build-time counts,
+    /// with `epol_far` recounted against `bins`. Far-field bin pairs
+    /// depend on the Born radii the bins were built from, so a count
+    /// taken at build time is only right for the bins it was built with.
+    fn exec_ops(&self, bins: &ChargeBins) -> OpCounts {
+        let epol_far = self
+            .entries
+            .iter()
+            .filter(|e| e.far)
+            .map(|e| far_pairs(bins, e.a, e.b))
+            .sum();
+        OpCounts { epol_far, ..self.ops }
     }
 }
 
@@ -655,6 +681,190 @@ fn build_epol_dual(
 }
 
 // ---------------------------------------------------------------------------
+// The evaluation pipeline
+// ---------------------------------------------------------------------------
+
+/// Push blocks of a pooled run, fixed like [`LIST_CHUNKS`]. A serial run
+/// pushes in one block, which keeps its `nodes_visited` equal to the
+/// recursion's (every block re-walks the ancestors it shares).
+const PUSH_BLOCKS: usize = 64;
+
+/// Run `n` pure Phase-A units (list chunks, push blocks or dirty
+/// entries) through `f`, yielding their outputs in unit order for a
+/// serial fold. Without a pool each unit runs as the fold consumes it.
+/// With a pool all units run first; unit `poison` panics by fault
+/// injection, the pool contains the panic, and the fold re-executes the
+/// lost slot serially by the same pure `f`, so it sees exactly the
+/// fault-free outputs (`recovered` counts such slots).
+pub(crate) fn run_units<'a, T, F>(
+    pool: Option<&WorkStealingPool>,
+    n: usize,
+    poison: Option<usize>,
+    f: F,
+    recovered: &'a mut u32,
+) -> Box<dyn Iterator<Item = T> + 'a>
+where
+    T: Send + 'a,
+    F: Fn(usize) -> T + Sync + 'a,
+{
+    let Some(pool) = pool else {
+        return Box::new((0..n).map(f));
+    };
+    let (parts, _) = pool.try_map(n, |k| {
+        if Some(k) == poison {
+            // PANIC-OK: deliberate fault injection; contained by the pool's try_map.
+            panic!("injected worker panic in Phase-A unit {k}");
+        }
+        f(k)
+    });
+    Box::new(parts.into_iter().enumerate().map(move |(k, slot)| {
+        slot.unwrap_or_else(|| {
+            *recovered += 1;
+            f(k)
+        })
+    }))
+}
+
+/// Fire `plan`'s rank-0 execution fault for stage `ph` over `n_units`
+/// units: the unit a `PanicWorker` poisons, a `Delay` added to `delay_s`,
+/// or an error for `Kill` and `PanicRank` (one process has no peer to
+/// recover on). Payload faults act on sends, and a list run sends none.
+fn fire_fault(
+    plan: Option<&FaultPlan>,
+    ph: u32,
+    n_units: usize,
+    delay_s: &mut f64,
+) -> Result<Option<usize>, DriverError> {
+    let Some(plan) = plan else {
+        return Ok(None);
+    };
+    match plan.fire_exec(0, ph) {
+        None
+        | Some(FaultKind::DropPayload)
+        | Some(FaultKind::CorruptPayload)
+        | Some(FaultKind::KillMidSend) => Ok(None),
+        Some(FaultKind::Delay { virtual_s, real_ms }) => {
+            *delay_s += virtual_s;
+            std::thread::sleep(Duration::from_millis(real_ms));
+            Ok(None)
+        }
+        // PANIC-OK: the divisor n_units.max(1) is never zero.
+        Some(FaultKind::PanicWorker) => Ok(Some(plan.seed() as usize % n_units.max(1))),
+        Some(FaultKind::Kill) => Err(DriverError::Failed {
+            cause: format!(
+                "rank killed by fault at phase {ph}; a single-process run has no peer to recover on"
+            ),
+        }),
+        Some(FaultKind::PanicRank) => Err(DriverError::Failed {
+            cause: format!("rank panicked by fault at phase {ph}"),
+        }),
+    }
+}
+
+/// Per-chunk Phase-A output streams of both lists: what `DeltaEngine`
+/// caches and splices recomputed entries into.
+#[derive(Default)]
+pub(crate) struct Streams {
+    pub born: Vec<Vec<f64>>,
+    pub epol: Vec<Vec<f64>>,
+}
+
+/// Everything one [`run_lists`] pass produces.
+pub(crate) struct ListRun {
+    /// Born radii, Morton order.
+    pub born: Vec<f64>,
+    /// The charge bins the E_pol stage executed with.
+    pub bins: ChargeBins,
+    /// Raw ordered-pair E_pol sum.
+    pub raw: f64,
+    /// Both lists' counts plus the push's node visits, with far bin
+    /// pairs counted against `bins` ([`EpolLists::exec_ops`]).
+    pub ops: OpCounts,
+    /// Poisoned Phase-A units recovered by serial re-execution.
+    pub recovered: u32,
+    /// Injected straggler delay (virtual seconds).
+    pub delay_s: f64,
+    /// Stage times; `build` and `lists` stay zero (the caller's work).
+    pub phases: PhaseTimes,
+}
+
+/// The list evaluation pipeline, the one place the stage sequence lives:
+/// Born Phase A → Born fold → push → [`ChargeBins`] → E_pol Phase A →
+/// sum-tree fold, with Phase A over `pool` when given and rank-0 faults
+/// from `plan` fired at the integrals, push and E_pol stages. The
+/// contract is DESIGN.md §11.4. The streams are kept only when `keep`
+/// asks for them: the Born stream is a run's largest buffer (26 MB at
+/// 8,000 atoms), and a serial run keeping none folds chunk by chunk.
+pub(crate) fn run_lists(
+    sys: &GbSystem,
+    born_lists: &BornLists,
+    epol_lists: &EpolLists,
+    approx: &ApproxParams,
+    pool: Option<&WorkStealingPool>,
+    plan: Option<&FaultPlan>,
+    mut keep: Option<&mut Streams>,
+) -> Result<ListRun, DriverError> {
+    let math = approx.math;
+    let (mut recovered, mut delay_s) = (0, 0.0);
+    let mut phases = PhaseTimes::default();
+
+    let t = Instant::now();
+    let poison = fire_fault(plan, phase::INTEGRALS, born_lists.n_chunks(), &mut delay_s)?;
+    let chunk = |c| born_lists.run_chunk(sys, c);
+    let streams = run_units(pool, born_lists.n_chunks(), poison, chunk, &mut recovered);
+    let mut acc = BornAccumulators::zeros(sys);
+    match keep.as_deref_mut() {
+        Some(keep) => {
+            keep.born = streams.collect();
+            born_lists.apply(sys, &keep.born, &mut acc);
+        }
+        None => born_lists.apply(sys, streams, &mut acc),
+    }
+    let mut ops = born_lists.ops;
+    phases.integrals = t.elapsed().as_secs_f64();
+
+    let t = Instant::now();
+    let n = sys.n_atoms();
+    let blocks = if pool.is_some() { PUSH_BLOCKS.min(n.max(1)) } else { 1 };
+    let poison = fire_fault(plan, phase::PUSH, blocks, &mut delay_s)?;
+    let push_block = |c: usize| {
+        let range = c * n / blocks..(c + 1) * n / blocks;
+        // The push writes through a full-length slice; each block fills
+        // a scratch one and hands back only its segment.
+        let mut full = vec![0.0; n];
+        let ops = push_integrals_to_atoms(sys, &acc, range.clone(), math, &mut full);
+        // PANIC-OK: range lies inside 0..n by construction.
+        (full[range.clone()].to_vec(), range, ops)
+    };
+    let mut born = vec![0.0; n];
+    for (seg, range, po) in run_units(pool, blocks, poison, push_block, &mut recovered) {
+        // PANIC-OK: each segment is exactly range.len() long.
+        born[range].copy_from_slice(&seg);
+        ops.add(&po);
+    }
+    phases.push = t.elapsed().as_secs_f64();
+
+    let t = Instant::now();
+    let bins = ChargeBins::build(sys, &born, approx.eps_epol);
+    phases.bins = t.elapsed().as_secs_f64();
+
+    let t = Instant::now();
+    let poison = fire_fault(plan, phase::EPOL, epol_lists.n_chunks(), &mut delay_s)?;
+    let chunk = |c| epol_lists.run_chunk(sys, &bins, &born, math, c);
+    let streams = run_units(pool, epol_lists.n_chunks(), poison, chunk, &mut recovered);
+    let raw = match keep {
+        Some(keep) => {
+            keep.epol = streams.collect();
+            epol_lists.apply(&keep.epol)
+        }
+        None => epol_lists.apply(streams),
+    };
+    ops.add(&epol_lists.exec_ops(&bins));
+    phases.epol = t.elapsed().as_secs_f64();
+    Ok(ListRun { born, bins, raw, ops, recovered, delay_s, phases })
+}
+
+// ---------------------------------------------------------------------------
 // Verlet-skin MD engine
 // ---------------------------------------------------------------------------
 
@@ -708,34 +918,47 @@ pub struct ListEngine {
 
 impl ListEngine {
     /// Build the engine at the molecule's current geometry. Counts as the
-    /// first rebuild. `skin` is the Verlet margin in Å (`>= 0`).
+    /// first rebuild. `skin` is the Verlet margin in Å (`>= 0`). One
+    /// pipeline run computes the Born radii at the build geometry, so
+    /// force kernels can run before the first [`Self::evaluate`] call.
     pub fn new(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
+        let mut engine = ListEngine::scaffold(mol, approx, skin);
+        engine.born = engine.run_pipeline(None, None).born;
+        engine
+    }
+
+    /// The prepared system and both lists at the molecule's geometry,
+    /// with nothing executed yet (`born` is empty). Counts as the first
+    /// rebuild.
+    pub(crate) fn scaffold(mol: &Molecule, approx: &ApproxParams, skin: f64) -> ListEngine {
         assert!(skin >= 0.0 && skin.is_finite(), "skin must be a finite non-negative margin");
-        let work = mol.clone();
-        let mut engine = ListEngine {
+        let (sys, born_lists, epol_lists) = Self::build(mol, approx, skin);
+        ListEngine {
             approx: *approx,
             skin,
-            // Placeholder fields; `rebuild` fills them all in.
-            sys: GbSystem::prepare(&work, approx),
-            born_lists: BornLists { entries: Vec::new(), chunks: Vec::new(), ops: OpCounts::default() },
-            epol_lists: EpolLists { entries: Vec::new(), chunks: Vec::new(), ops: OpCounts::default() },
+            sys,
+            born_lists,
+            epol_lists,
             born: Vec::new(),
             reference: mol.positions.clone(),
-            work,
+            work: mol.clone(),
             lists_reused: 0,
-            lists_rebuilt: 0,
-        };
-        let positions = mol.positions.clone();
-        engine.rebuild(&positions);
-        engine.lists_rebuilt = 1;
-        // Populate Born radii at the build geometry so force kernels can
-        // run before the first `evaluate` call.
-        let mut acc = BornAccumulators::zeros(&engine.sys);
-        engine.born_lists.execute(&engine.sys, None, &mut acc);
-        let mut born = vec![0.0; engine.sys.n_atoms()];
-        push_integrals_to_atoms(&engine.sys, &acc, 0..engine.sys.n_atoms(), approx.math, &mut born);
-        engine.born = born;
-        engine
+            lists_rebuilt: 1,
+        }
+    }
+
+    /// Prepare the system with skin-inflated trees and build both lists.
+    fn build(mol: &Molecule, approx: &ApproxParams, skin: f64) -> (GbSystem, BornLists, EpolLists) {
+        let mut sys = GbSystem::prepare(mol, approx);
+        if skin > 0.0 {
+            sys.atoms.inflate_radii(skin);
+            sys.qtree.inflate_radii(skin);
+        }
+        let born_lists = BornLists::build_single(&sys, approx.eps_born);
+        // No bins exist before the Born pass; execution counts far bin
+        // pairs against the bins it runs with.
+        let epol_lists = EpolLists::build_single(&sys, &ChargeBins::default(), approx.eps_epol);
+        (sys, born_lists, epol_lists)
     }
 
     /// The system snapshot (inflated trees, positions as of the last
@@ -750,11 +973,6 @@ impl ListEngine {
         &self.born
     }
 
-    /// The configured skin margin.
-    pub fn skin(&self) -> f64 {
-        self.skin
-    }
-
     /// Resident bytes of the engine's persistent state: the prepared
     /// system (trees + payloads + flat leaf arenas) plus both interaction
     /// lists.
@@ -762,21 +980,26 @@ impl ListEngine {
         self.sys.memory_bytes() + self.born_lists.memory_bytes() + self.epol_lists.memory_bytes()
     }
 
+    /// Re-prepare trees and lists at `positions` (original order).
     pub(crate) fn rebuild(&mut self, positions: &[Vec3]) {
         // PANIC-OK: rebuild always receives positions for the same molecule (same atom count).
         self.work.positions.copy_from_slice(positions);
-        self.sys = GbSystem::prepare(&self.work, &self.approx);
-        if self.skin > 0.0 {
-            self.sys.atoms.inflate_radii(self.skin);
-            self.sys.qtree.inflate_radii(self.skin);
-        }
-        self.born_lists = BornLists::build_single(&self.sys, self.approx.eps_born);
-        // The E_pol traversal is pure geometry; bins only feed the op
-        // report. Build them from intrinsic radii here — the energy path
-        // always executes with the current step's real bins.
-        let bins = ChargeBins::build(&self.sys, &self.sys.radius.clone(), self.approx.eps_epol);
-        self.epol_lists = EpolLists::build_single(&self.sys, &bins, self.approx.eps_epol);
+        (self.sys, self.born_lists, self.epol_lists) =
+            Self::build(&self.work, &self.approx, self.skin);
         self.reference = positions.to_vec();
+    }
+
+    /// [`run_lists`] over the kept lists, with Phase A over `pool`
+    /// (serially when `None`), no fault plan, and the streams to `keep`.
+    pub(crate) fn run_pipeline(
+        &self,
+        pool: Option<&WorkStealingPool>,
+        keep: Option<&mut Streams>,
+    ) -> ListRun {
+        let (born_lists, epol_lists) = (&self.born_lists, &self.epol_lists);
+        let run = run_lists(&self.sys, born_lists, epol_lists, &self.approx, pool, None, keep);
+        // PANIC-OK: without a fault plan no stage can fail.
+        run.expect("a run without a fault plan cannot fail")
     }
 
     /// Evaluate Born radii and the polarization energy at `positions`
@@ -801,25 +1024,14 @@ impl ListEngine {
             self.sys.refresh_atom_positions(positions);
             self.lists_reused += 1;
         }
-        let math = self.approx.math;
-        let n = self.sys.n_atoms();
-
-        let mut acc = BornAccumulators::zeros(&self.sys);
-        let mut ops = self.born_lists.execute(&self.sys, None, &mut acc);
-        let mut born = vec![0.0; n];
-        ops.add(&push_integrals_to_atoms(&self.sys, &acc, 0..n, math, &mut born));
-
-        let bins = ChargeBins::build(&self.sys, &born, self.approx.eps_epol);
-        let (raw, eops) = self.epol_lists.execute(&self.sys, &bins, &born, math, None);
-        ops.add(&eops);
-        self.born = born;
-
+        let run = self.run_pipeline(None, None);
+        self.born = run.born;
         EngineEval {
-            energy_kcal: epol_from_raw_sum(raw, self.approx.eps_solvent),
-            raw,
+            energy_kcal: epol_from_raw_sum(run.raw, self.approx.eps_solvent),
+            raw: run.raw,
             rebuilt,
             max_disp,
-            ops,
+            ops: run.ops,
         }
     }
 }
@@ -828,6 +1040,7 @@ impl ListEngine {
 mod tests {
     use super::*;
     use crate::born::born_radii_octree;
+    use crate::drivers::{run_serial, DriverConfig};
     use crate::dual::{born_radii_dual, epol_dual_raw};
     use crate::epol::epol_octree_raw;
     use crate::naive::born_radii_naive;
@@ -964,24 +1177,29 @@ mod tests {
 
     #[test]
     fn skin_zero_engine_matches_direct_lists() {
-        let mol = synth::ligand("md", 40, 5);
         let approx = ApproxParams::default();
-        let mut engine = ListEngine::new(&mol, &approx, 0.0);
-        let eval = engine.evaluate(&mol.positions);
-        assert!(!eval.rebuilt, "unmoved positions must reuse the build");
-        // Reference: the plain single-tree pipeline on the same geometry.
-        let sys = GbSystem::prepare(&mol, &approx);
-        let (born, _) = born_radii_octree(&sys, approx.eps_born, approx.math);
-        let bins = ChargeBins::build(&sys, &born, approx.eps_epol);
-        let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.eps_epol, approx.math);
-        assert_eq!(eval.raw.to_bits(), raw.to_bits());
-        // Any movement at skin 0 must rebuild.
-        let mut moved = mol.positions.clone();
-        moved[0].x += 1e-9;
-        let eval2 = engine.evaluate(&moved);
-        assert!(eval2.rebuilt);
-        assert_eq!(engine.lists_rebuilt, 2);
-        assert_eq!(engine.lists_reused, 1);
+        // The protein's far bin-pair count differs between intrinsic and
+        // Born-radius bins, so it also pins which bins `ops` counts.
+        for mol in [synth::ligand("md", 40, 5), synth::protein("p", 300, 3)] {
+            let mut engine = ListEngine::new(&mol, &approx, 0.0);
+            let eval = engine.evaluate(&mol.positions);
+            assert!(!eval.rebuilt, "unmoved positions must reuse the build");
+            // Reference: the plain single-tree pipeline on the same geometry.
+            let sys = GbSystem::prepare(&mol, &approx);
+            let (born, _) = born_radii_octree(&sys, approx.eps_born, approx.math);
+            let bins = ChargeBins::build(&sys, &born, approx.eps_epol);
+            let (raw, _) = epol_octree_raw(&sys, &bins, &born, approx.eps_epol, approx.math);
+            assert_eq!(eval.raw.to_bits(), raw.to_bits());
+            let serial = run_serial(&sys, &approx, &DriverConfig::default()).unwrap();
+            assert_eq!(eval.ops, serial.ops, "{}", mol.name);
+            // Any movement at skin 0 must rebuild.
+            let mut moved = mol.positions.clone();
+            moved[0].x += 1e-9;
+            let eval2 = engine.evaluate(&moved);
+            assert!(eval2.rebuilt);
+            assert_eq!(engine.lists_rebuilt, 2);
+            assert_eq!(engine.lists_reused, 1);
+        }
     }
 
     #[test]

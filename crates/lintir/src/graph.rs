@@ -15,6 +15,10 @@ pub struct Workspace {
     pub files: Vec<FileIr>,
     /// `(file index, fn index)` for every function, in file order.
     pub fns: Vec<(usize, usize)>,
+    /// Root-relative directories below the root that hold a Cargo
+    /// workspace of their own (a `Cargo.toml` with a `[workspace]`
+    /// table). Calls never resolve across such a boundary.
+    pub nested_roots: Vec<String>,
 }
 
 /// Stable handle for a function: index into `Workspace::fns`.
@@ -32,7 +36,7 @@ impl Workspace {
                 fns.push((fi, gi));
             }
         }
-        Workspace { files, fns }
+        Workspace { files, fns, nested_roots: Vec::new() }
     }
 
     /// Walk `root` for `.rs` files, skipping build output, VCS metadata,
@@ -40,8 +44,12 @@ impl Workspace {
     /// `benches/`). Paths are stored root-relative with `/` separators.
     pub fn load(root: &Path) -> std::io::Result<Self> {
         let mut sources = Vec::new();
+        let mut nested_roots = Vec::new();
         let mut stack = vec![root.to_path_buf()];
         while let Some(dir) = stack.pop() {
+            if dir != root && is_workspace_root(&dir) {
+                nested_roots.push(rel_path(root, &dir));
+            }
             let mut entries: Vec<_> =
                 std::fs::read_dir(&dir)?.filter_map(|e| e.ok()).collect();
             entries.sort_by_key(|e| e.path());
@@ -59,18 +67,24 @@ impl Workspace {
                     }
                     stack.push(path);
                 } else if name.ends_with(".rs") {
-                    let rel = path
-                        .strip_prefix(root)
-                        .unwrap_or(&path)
-                        .to_string_lossy()
-                        .replace('\\', "/");
                     let src = std::fs::read_to_string(&path)?;
-                    sources.push((rel, src));
+                    sources.push((rel_path(root, &path), src));
                 }
             }
         }
         sources.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Self::from_sources(&sources))
+        nested_roots.sort();
+        Ok(Workspace { nested_roots, ..Self::from_sources(&sources) })
+    }
+
+    /// The Cargo workspace a root-relative path belongs to: the deepest
+    /// nested root containing it, or `""` for the root workspace.
+    pub fn workspace_of(&self, rel: &str) -> &str {
+        self.nested_roots
+            .iter()
+            .filter(|r| rel.strip_prefix(r.as_str()).is_some_and(|t| t.starts_with('/')))
+            .max_by_key(|r| r.len())
+            .map_or("", |r| r.as_str())
     }
 
     pub fn fn_ir(&self, id: FnId) -> &FnIr {
@@ -87,6 +101,17 @@ impl Workspace {
     pub fn crate_of(&self, id: FnId) -> &str {
         crate_of_path(&self.file_of(id).rel)
     }
+}
+
+/// `path` relative to `root`, with `/` separators.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/")
+}
+
+/// Does `dir` hold a `Cargo.toml` that declares its own `[workspace]`?
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 pub fn crate_of_path(rel: &str) -> &str {
@@ -212,6 +237,16 @@ fn resolve(
             return None;
         }
     }
+
+    // Resolve only inside the caller's Cargo workspace: the root crates
+    // never depend on a nested one (a benchmark package, say), and what a
+    // nested one calls in the root lies outside every pass's roots.
+    let home = ws.workspace_of(caller_file);
+    let cands: Vec<FnId> = cands
+        .iter()
+        .copied()
+        .filter(|&c| ws.workspace_of(&ws.file_of(c).rel) == home)
+        .collect();
 
     // `Type::assoc(…)` / `Self::assoc(…)`: match candidates by impl type.
     if let Some(last) = call.qual.last() {
@@ -374,6 +409,47 @@ mod tests {
         let g = CallGraph::build(&w);
         let f = fn_id(&w, "f");
         assert!(g.callees[f].is_empty());
+    }
+
+    #[test]
+    fn method_calls_do_not_cross_workspace_roots() {
+        let mut w = ws(&[
+            ("crates/a/src/sim.rs", "pub fn simulate(p: &[u8]) { p.last(); }"),
+            (
+                "bench/src/report.rs",
+                "impl Probe { fn last(&self) {} }\nfn sample(p: &Probe) { p.last(); }",
+            ),
+        ]);
+        let simulate = fn_id(&w, "simulate");
+        let sample = fn_id(&w, "sample");
+        let last = fn_id(&w, "last");
+        // One workspace: the unique self-taking `last` is accepted.
+        assert_eq!(CallGraph::build(&w).callees[simulate], vec![(last, 1)]);
+        w.nested_roots = vec!["bench".to_string()];
+        let g = CallGraph::build(&w);
+        assert!(g.callees[simulate].is_empty(), "resolved into a nested workspace");
+        assert_eq!(g.callees[sample], vec![(last, 2)], "resolution inside it still works");
+    }
+
+    #[test]
+    fn load_finds_nested_workspace_roots() {
+        let root = std::env::temp_dir().join(format!("lintir-ws-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "pub fn f() {}");
+        write("bench/Cargo.toml", "[package]\nname = \"bench\"\n\n[workspace]\n");
+        write("bench/src/main.rs", "fn main() {}");
+        let w = Workspace::load(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(w.nested_roots, vec!["bench".to_string()]);
+        assert_eq!(w.workspace_of("bench/src/main.rs"), "bench");
+        assert_eq!(w.workspace_of("crates/a/src/lib.rs"), "");
+        assert_eq!(w.workspace_of("benchmark/src/lib.rs"), "");
     }
 
     #[test]
